@@ -135,7 +135,7 @@ def _check_ttl(token):
         ttl = int(token)
     except ValueError:
         return None
-    return ttl if ttl >= 0 else None
+    return ttl if 0 <= ttl <= store.MAX_TTL else None
 
 
 def _check_hex(token):
@@ -340,6 +340,44 @@ def _store_value(state, evict, stats, key, value, ttl, now, capacity):
         evict("admit", key)
 
 
+def apply_within(state, evict, op, *, region_len, stats, **policy):
+    """:func:`apply_op` for a live server: the result must fit the region.
+
+    Returns ``(reply, packed)``, where *packed* is the new region image,
+    or ``None`` when the store stayed clean.  An op whose result would
+    not fit the region is refused whole with ``ERR store full`` and
+    changes nothing.  The counters update from a scratch copy, and the
+    eviction calls wait until the new image is known to fit.  Only a
+    ``pick`` must be answered at once (an LRU pick only reads; a clock
+    pick may clear reference bits).
+    """
+    held = []
+
+    def release():
+        for action, key in held:
+            evict(action, key)
+        held.clear()
+
+    def hold(action, key=None):
+        if action == "pick":
+            release()
+            return evict(action)
+        held.append((action, key))
+        return None
+
+    scratch = dict(stats)
+    reply, dirty = apply_op(state, hold, op, stats=scratch, **policy)
+    packed = None
+    if dirty:
+        try:
+            packed = store.pack_store(state, region_len)
+        except WedgeError:
+            return {"ok": False, "error": "store full"}, None
+    release()
+    stats.update(scratch)
+    return reply, packed
+
+
 # -- callgate entry points ---------------------------------------------------
 
 def evict_gate(trusted, arg):
@@ -405,9 +443,10 @@ def store_gate(trusted, arg):
     Whole-region read, python-side mutation, whole-region write (only
     when dirty — a pure cache hit leaves the store bytes untouched,
     which is what makes the chaos campaign's byte-identical check
-    sharp).  TTLs are priced off the deterministic cost model: *now* is
-    the kernel's model-cycle clock, so expiry is reproducible under any
-    seed.
+    sharp).  An op whose result would not fit the region is refused
+    with ``ERR store full`` before anything is written or logged.  TTLs
+    are priced off the deterministic cost model: *now* is the kernel's
+    model-cycle clock, so expiry is reproducible under any seed.
 
     In durable mode (``trusted["wal"]`` present) this gate is also the
     *only* compartment holding the disk fd: every dirty op appends a
@@ -423,13 +462,12 @@ def store_gate(trusted, arg):
     state = store.unpack_store(
         kernel.mem_read(trusted["store_addr"], trusted["store_len"]))
     now = kernel.costs.cycles()
-    reply, dirty = apply_op(
+    reply, packed = apply_within(
         state, _evict_caller(kernel), arg,
-        policy=trusted["policy"], capacity=trusted["capacity"],
-        queue_bound=trusted["queue_bound"], stats=trusted["stats"],
-        now=now)
-    if dirty:
-        packed = store.pack_store(state, trusted["store_len"])
+        region_len=trusted["store_len"], policy=trusted["policy"],
+        capacity=trusted["capacity"], queue_bound=trusted["queue_bound"],
+        stats=trusted["stats"], now=now)
+    if packed is not None:
         kernel.mem_write(trusted["store_addr"], packed)
         if wal is not None:
             # log-before-reply: the record (and, at a group-commit
@@ -964,13 +1002,13 @@ class MonolithicKv:
             getattr(self._oracle, action)(key)
             return None
 
-        reply, dirty = apply_op(
-            state, evict, op, policy=self.policy,
-            capacity=self.capacity, queue_bound=self.queue_bound,
-            stats=self.stats, now=self.kernel.costs.cycles())
-        if dirty:
-            self._store_buf.write(
-                store.pack_store(state, self._store_region))
+        reply, packed = apply_within(
+            state, evict, op, region_len=self._store_region,
+            policy=self.policy, capacity=self.capacity,
+            queue_bound=self.queue_bound, stats=self.stats,
+            now=self.kernel.costs.cycles())
+        if packed is not None:
+            self._store_buf.write(packed)
         return reply
 
 

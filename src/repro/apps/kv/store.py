@@ -26,11 +26,16 @@ algorithm, not a reimplementation of it.
 
 from __future__ import annotations
 
+import struct
+
 from repro.core.errors import WedgeError
 
-#: Protocol limits: one token key, hex-encoded values.
+#: Protocol limits: one token key, hex-encoded values, and a TTL (in
+#: model cycles) small enough that ``now + ttl`` fits the 8-byte expiry
+#: and WAL fields until the model clock passes 2**63 cycles.
 MAX_KEY = 64
 MAX_VALUE = 1024
+MAX_TTL = (1 << 63) - 1
 
 MODE_LRU = "lru"
 MODE_CLOCK = "clock"
@@ -44,33 +49,48 @@ Q_SET = 1
 Q_DEL = 2
 
 
-# -- primitive codec ---------------------------------------------------------
+# -- the codec ---------------------------------------------------------------
+#
+# Every gate entry decodes its whole region and every dirty one encodes
+# it again, so these four functions are the kv tier's hottest code.  A
+# row costs a few slices and precompiled ``struct`` reads or ``to_bytes``
+# calls, never a Python helper call: the encoders collect the pieces and
+# join them once, the decoders walk one offset through the blob.  The
+# loop codec they replaced is kept in the property tests as the
+# byte-for-byte reference.
 
-def _pack_bytes(out, blob):
-    if len(blob) > 0xFFFF:
-        raise WedgeError("kv codec: blob too long")
-    out += len(blob).to_bytes(2, "big") + blob
+class _LengthPrefixes(dict):
+    """``n -> n.to_bytes(2, "big")``; every protocol-legal length is
+    precomputed, longer blobs (a preload may hold one) are encoded on
+    the spot."""
+
+    def __missing__(self, n):
+        if n > 0xFFFF:
+            raise WedgeError("kv codec: blob too long")
+        return n.to_bytes(2, "big")
 
 
-def _unpack_bytes(blob, off):
-    n = int.from_bytes(blob[off:off + 2], "big")
-    off += 2
-    return bytes(blob[off:off + n]), off + n
+_PREFIX = _LengthPrefixes(
+    (n, n.to_bytes(2, "big")) for n in range(MAX_VALUE + 1))
+
+_U16 = struct.Struct(">H").unpack_from
+_U64 = struct.Struct(">Q").unpack_from
+#: a cache row's expiry and the 2-byte length or count after it
+_U64_U16 = struct.Struct(">QH").unpack_from
+#: the meta counter, hand and row count
+_META_HEADER = struct.Struct(">QQH").unpack_from
 
 
-def _pack_u64(out, value):
-    out += int(value).to_bytes(8, "big")
-
-
-def _unpack_u64(blob, off):
-    return int.from_bytes(blob[off:off + 8], "big"), off + 8
-
-
-def _pad(out, region_len):
-    if len(out) > region_len:
+def _pad(body, region_len):
+    if len(body) > region_len:
         raise WedgeError(
-            f"kv region overflow: {len(out)} > {region_len} bytes")
-    return bytes(out) + b"\x00" * (region_len - len(out))
+            f"kv region overflow: {len(body)} > {region_len} bytes")
+    return body.ljust(region_len, b"\x00")
+
+
+def _as_bytes(blob):
+    # mem_read already returns bytes, which decode with no copy
+    return blob if isinstance(blob, bytes) else bytes(blob)
 
 
 # -- the store region --------------------------------------------------------
@@ -87,53 +107,70 @@ def pack_store(state, region_len):
       means the entry never expires;
     * queue rows are ``(Q_SET|Q_DEL, key, value)``;
     * backing rows are ``(key, value)``.
+
+    Every key and value carries a 2-byte big-endian length, ``expires``
+    is 8 bytes big-endian, and each section starts with a 2-byte row
+    count.
     """
-    out = bytearray(_STORE_MAGIC)
-    out += len(state["cache"]).to_bytes(2, "big")
-    for key, value, expires in state["cache"]:
-        _pack_bytes(out, key)
-        _pack_bytes(out, value)
-        _pack_u64(out, expires)
-    out += len(state["queue"]).to_bytes(2, "big")
-    for kind, key, value in state["queue"]:
-        out.append(kind)
-        _pack_bytes(out, key)
-        _pack_bytes(out, value)
-    out += len(state["backing"]).to_bytes(2, "big")
-    for key, value in state["backing"]:
-        _pack_bytes(out, key)
-        _pack_bytes(out, value)
-    return _pad(out, region_len)
+    prefix = _PREFIX
+    cache, queue, backing = state["cache"], state["queue"], state["backing"]
+    parts = [_STORE_MAGIC, len(cache).to_bytes(2, "big")]
+    extend = parts.extend
+    for key, value, expires in cache:
+        extend((prefix[len(key)], key, prefix[len(value)], value,
+                expires.to_bytes(8, "big")))
+    parts.append(len(queue).to_bytes(2, "big"))
+    for kind, key, value in queue:
+        extend((bytes((kind,)), prefix[len(key)], key,
+                prefix[len(value)], value))
+    parts.append(len(backing).to_bytes(2, "big"))
+    for key, value in backing:
+        extend((prefix[len(key)], key, prefix[len(value)], value))
+    return _pad(b"".join(parts), region_len)
 
 
 def unpack_store(blob):
-    blob = bytes(blob)
-    if blob[:4] != _STORE_MAGIC:
+    b = _as_bytes(blob)
+    if b[:4] != _STORE_MAGIC:
         raise WedgeError("kv-store region is corrupt (bad magic)")
-    off = 4
-    state = empty_store()
-    n = int.from_bytes(blob[off:off + 2], "big")
-    off += 2
-    for _ in range(n):
-        key, off = _unpack_bytes(blob, off)
-        value, off = _unpack_bytes(blob, off)
-        expires, off = _unpack_u64(blob, off)
-        state["cache"].append((key, value, expires))
-    n = int.from_bytes(blob[off:off + 2], "big")
-    off += 2
-    for _ in range(n):
-        kind = blob[off]
-        off += 1
-        key, off = _unpack_bytes(blob, off)
-        value, off = _unpack_bytes(blob, off)
-        state["queue"].append((kind, key, value))
-    n = int.from_bytes(blob[off:off + 2], "big")
-    off += 2
-    for _ in range(n):
-        key, off = _unpack_bytes(blob, off)
-        value, off = _unpack_bytes(blob, off)
-        state["backing"].append((key, value))
-    return state
+    u16, u64_u16 = _U16, _U64_U16
+    cache, queue, backing = [], [], []
+    try:
+        count, size = u16(b, 4)[0], u16(b, 6)[0]
+        off = 6
+        # *size* is the next key's length, read together with the
+        # previous row's expiry; after the last row it is the queue
+        # count (two counts always follow the cache rows)
+        for _ in range(count):
+            start = off + 2
+            end = start + size
+            key = b[start:end]
+            start = end + 2
+            off = start + u16(b, end)[0]
+            expires, size = u64_u16(b, off)
+            cache.append((key, b[start:off], expires))
+            off += 8
+        off += 2
+        for _ in range(size):
+            kind = b[off]
+            start = off + 3
+            end = start + u16(b, off + 1)[0]
+            key = b[start:end]
+            start = end + 2
+            off = start + u16(b, end)[0]
+            queue.append((kind, key, b[start:off]))
+        count = u16(b, off)[0]
+        off += 2
+        for _ in range(count):
+            start = off + 2
+            end = start + u16(b, off)[0]
+            key = b[start:end]
+            start = end + 2
+            off = start + u16(b, end)[0]
+            backing.append((key, b[start:off]))
+    except (IndexError, struct.error):
+        raise WedgeError("kv-store region is corrupt (truncated)") from None
+    return {"cache": cache, "queue": queue, "backing": backing}
 
 
 # -- the metadata region -----------------------------------------------------
@@ -154,35 +191,41 @@ def empty_meta(mode=MODE_LRU):
 
 
 def pack_meta(state, region_len):
-    out = bytearray(_META_MAGIC)
-    out.append(MODES.index(state["mode"]))
-    _pack_u64(out, state["counter"])
-    _pack_u64(out, state["hand"])
-    out += len(state["order"]).to_bytes(2, "big")
-    for key in state["order"]:
-        _pack_bytes(out, key)
-        _pack_u64(out, state["entries"][key])
-    return _pad(out, region_len)
+    """Serialize recency state: mode byte, 8-byte counter and hand, then
+    ``(key, stamp)`` rows in ring order."""
+    prefix = _PREFIX
+    order, entries = state["order"], state["entries"]
+    parts = [_META_MAGIC, bytes((MODES.index(state["mode"]),)),
+             state["counter"].to_bytes(8, "big"),
+             state["hand"].to_bytes(8, "big"),
+             len(order).to_bytes(2, "big")]
+    extend = parts.extend
+    for key in order:
+        extend((prefix[len(key)], key, entries[key].to_bytes(8, "big")))
+    return _pad(b"".join(parts), region_len)
 
 
 def unpack_meta(blob):
-    blob = bytes(blob)
-    if blob[:4] != _META_MAGIC:
+    b = _as_bytes(blob)
+    if b[:4] != _META_MAGIC:
         raise WedgeError("kv-meta region is corrupt (bad magic)")
-    off = 4
-    mode = MODES[blob[off]]
-    off += 1
-    counter, off = _unpack_u64(blob, off)
-    hand, off = _unpack_u64(blob, off)
-    n = int.from_bytes(blob[off:off + 2], "big")
-    off += 2
+    u16, u64 = _U16, _U64
     order = []
     entries = {}
-    for _ in range(n):
-        key, off = _unpack_bytes(blob, off)
-        stamp, off = _unpack_u64(blob, off)
-        order.append(key)
-        entries[key] = stamp
+    try:
+        mode = MODES[b[4]]
+        counter, hand, count = _META_HEADER(b, 5)
+        off = 23
+        for _ in range(count):
+            start = off + 2
+            off = start + u16(b, off)[0]
+            key = b[start:off]
+            order.append(key)
+            entries[key] = u64(b, off)[0]
+            off += 8
+    except (IndexError, struct.error):
+        raise WedgeError(
+            "kv-meta region is corrupt (bad mode or truncated)") from None
     return {"mode": mode, "counter": counter, "hand": hand,
             "order": order, "entries": entries}
 

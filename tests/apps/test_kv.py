@@ -49,6 +49,8 @@ class TestProtocol:
                             "old": b"a", "value": b"b"}),
         (b"STAT", {"op": "stat"}),
         (b"FLUSH", {"op": "flush"}),
+        (b"SET k %d 6869" % store.MAX_TTL,       # the bound is inclusive
+         {"op": "set", "key": b"k", "ttl": store.MAX_TTL, "value": b"hi"}),
     ])
     def test_valid_commands(self, line, expected):
         op, err = parse_command(line)
@@ -59,6 +61,9 @@ class TestProtocol:
         b"", b"NOPE", b"GET", b"GET a b", b"SET k 0",
         b"SET k -1 6869",                    # negative ttl
         b"SET k x 6869",                     # non-numeric ttl
+        b"SET k %d 6869" % (store.MAX_TTL + 1),      # ttl past the bound
+        b"SET k 18446744073709551616 6869",          # 2**64: u64 overflow
+        b"CAS k %d 61 62" % (store.MAX_TTL + 1),
         b"SET k 0 686",                      # odd-length hex
         b"SET k 0 zz",                       # not hex
         b"SET " + b"k" * (store.MAX_KEY + 1) + b" 0 6869",
@@ -251,6 +256,16 @@ class TestTtl:
         state = store.unpack_store(kv.store_bytes())
         assert state["cache"] == [(b"k", b"v", 0)]
 
+    def test_huge_ttl_is_refused_and_the_connection_lives_on(self, kv):
+        """A TTL past ``MAX_TTL`` would overflow the 8-byte expiry and
+        WAL fields: the parser answers ``ERR bad ttl`` and serves the
+        next command on the same connection."""
+        c = client_for(kv)
+        replies = c.execute([b"SET k 18446744073709551616 6869",
+                             b"SET k 0 6869", b"GET k"])
+        assert replies == [b"ERR bad ttl", b"STORED", b"VALUE 6869"]
+        assert kv.errors == []
+
     def test_cache_client_ttl_jitter_is_a_pure_function(self, network):
         k = Kernel(net=network, name="jitter")
         k.start_main()
@@ -301,6 +316,74 @@ class TestEviction:
         stats = c.stat()
         assert stats["entries"] == 3
         assert stats["evictions"] == 7
+
+
+# -- a full store region ----------------------------------------------------
+
+BIG = (b"x" * store.MAX_VALUE).hex().encode()
+#: under write-through each 1 KB key costs a cache row and a backing row
+#: (~2 KB), so 15 fill the default 32 KB region and the 16th does not fit
+FILL = [b"SET k%02d 0 %s" % (i, BIG) for i in range(15)]
+
+BUILDS = {
+    "partitioned": lambda net, addr: KvServer(
+        net, addr, policy=WRITE_THROUGH),
+    "durable": lambda net, addr: KvServer(
+        net, addr, policy=WRITE_THROUGH, durable=True),
+    "monolithic": lambda net, addr: MonolithicKv(
+        net, addr, policy=WRITE_THROUGH),
+}
+
+
+class TestStoreFull:
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_full_region_refuses_typed_and_keeps_serving(
+            self, network, build):
+        srv = BUILDS[build](network, f"kv-full-{build}:9090").start()
+        try:
+            c = client_for(srv)
+            assert c.execute(FILL) == [b"STORED"] * len(FILL)
+            before = srv.store_bytes()
+            stats = dict(srv.stats)
+            seq = srv.wal.seq if build == "durable" else None
+            replies = c.execute([b"SET k15 0 " + BIG, b"STAT",
+                                 b"GET k00"])
+            assert replies[0] == b"ERR store full"
+            # the same connection answers the next commands, and the
+            # refused write left no trace: region, counters and log
+            assert replies[1].startswith(b"STAT ")
+            assert b" sets=15 " in replies[1]
+            assert b" entries=15 " in replies[1]
+            assert replies[2] == b"VALUE " + BIG
+            assert srv.store_bytes() == before
+            assert srv.stats == stats | {"hits": stats["hits"] + 1}
+            if seq is not None:
+                assert srv.wal.seq == seq
+            assert srv.errors == []
+        finally:
+            srv.stop()
+
+    def test_refusal_at_capacity_leaves_the_recency_region_alone(
+            self, network):
+        """At capacity the write picks a victim first.  An LRU pick only
+        reads, and the held eviction calls are dropped with the write, so
+        the kv-meta region is byte-identical and the victim stays."""
+        srv = KvServer(network, "kv-full-cap:9090", capacity=2,
+                       store_region=2048).start()
+        try:
+            c = client_for(srv)
+            assert c.execute([b"SET a 0 61", b"SET b 0 " + BIG]) \
+                == [b"STORED", b"STORED"]
+            store_before = srv.store_bytes()
+            meta_before = srv._meta_buf.read()
+            # evicting a (the LRU entry) still leaves no room for c
+            assert c.execute([b"SET c 0 " + BIG]) == [b"ERR store full"]
+            assert srv.store_bytes() == store_before
+            assert srv._meta_buf.read() == meta_before
+            assert c.get("a") == b"a"
+            assert c.stat()["evictions"] == 0
+        finally:
+            srv.stop()
 
 
 # -- wire parity with the monolithic contrast --------------------------------

@@ -1,10 +1,13 @@
 """Property tests for the kv tier (the eviction/codec satellite).
 
-Four claims:
+Five claims:
 
 * the command parser and both region codecs are *total* — arbitrary
   bytes produce a typed result or a typed error, never a stray Python
   exception, and well-formed states round-trip exactly;
+* the shipped region codecs write and read exactly the bytes of the
+  reference loop codec below (the one the kv tier first shipped), at
+  every protocol limit, and fail with the same typed errors;
 * the eviction algebra behaves identically whether the metadata lives
   in a python dict (the oracle) or round-trips through the ``kv-meta``
   codec on every step (the gate's whole-region read/write discipline) —
@@ -19,10 +22,12 @@ Four claims:
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.kv import KvClient, KvServer, MonolithicKv, store
 from repro.apps.kv.server import WRITE_BEHIND, apply_op, parse_command
+from repro.core.errors import WedgeError
 from repro.core.kernel import Kernel
 from repro.net import Network
 
@@ -32,6 +37,137 @@ keys = st.sampled_from(KEYS)
 values = st.binary(min_size=0, max_size=16)
 
 META_REGION = 4096
+STORE_REGION = 1 << 15
+
+# the protocol limits: any key and value the parser accepts, any u64
+wire_keys = st.binary(min_size=1, max_size=store.MAX_KEY)
+wire_values = st.binary(min_size=0, max_size=store.MAX_VALUE)
+u64s = st.integers(0, 2 ** 64 - 1)
+
+
+# -- the reference codec -----------------------------------------------------
+#
+# The loop codec the kv tier first shipped: one helper call per field.
+# The shipped codec must match it byte for byte.
+
+def _ref_pack_bytes(out, blob):
+    if len(blob) > 0xFFFF:
+        raise WedgeError("kv codec: blob too long")
+    out += len(blob).to_bytes(2, "big") + blob
+
+
+def _ref_unpack_bytes(blob, off):
+    n = int.from_bytes(blob[off:off + 2], "big")
+    off += 2
+    return bytes(blob[off:off + n]), off + n
+
+
+def _ref_pack_u64(out, value):
+    out += int(value).to_bytes(8, "big")
+
+
+def _ref_unpack_u64(blob, off):
+    return int.from_bytes(blob[off:off + 8], "big"), off + 8
+
+
+def _ref_pad(out, region_len):
+    if len(out) > region_len:
+        raise WedgeError(
+            f"kv region overflow: {len(out)} > {region_len} bytes")
+    return bytes(out) + b"\x00" * (region_len - len(out))
+
+
+def ref_pack_store(state, region_len):
+    out = bytearray(b"KVS1")
+    out += len(state["cache"]).to_bytes(2, "big")
+    for key, value, expires in state["cache"]:
+        _ref_pack_bytes(out, key)
+        _ref_pack_bytes(out, value)
+        _ref_pack_u64(out, expires)
+    out += len(state["queue"]).to_bytes(2, "big")
+    for kind, key, value in state["queue"]:
+        out.append(kind)
+        _ref_pack_bytes(out, key)
+        _ref_pack_bytes(out, value)
+    out += len(state["backing"]).to_bytes(2, "big")
+    for key, value in state["backing"]:
+        _ref_pack_bytes(out, key)
+        _ref_pack_bytes(out, value)
+    return _ref_pad(out, region_len)
+
+
+def ref_unpack_store(blob):
+    blob = bytes(blob)
+    if blob[:4] != b"KVS1":
+        raise WedgeError("kv-store region is corrupt (bad magic)")
+    off = 4
+    state = store.empty_store()
+    n = int.from_bytes(blob[off:off + 2], "big")
+    off += 2
+    for _ in range(n):
+        key, off = _ref_unpack_bytes(blob, off)
+        value, off = _ref_unpack_bytes(blob, off)
+        expires, off = _ref_unpack_u64(blob, off)
+        state["cache"].append((key, value, expires))
+    n = int.from_bytes(blob[off:off + 2], "big")
+    off += 2
+    for _ in range(n):
+        kind = blob[off]
+        off += 1
+        key, off = _ref_unpack_bytes(blob, off)
+        value, off = _ref_unpack_bytes(blob, off)
+        state["queue"].append((kind, key, value))
+    n = int.from_bytes(blob[off:off + 2], "big")
+    off += 2
+    for _ in range(n):
+        key, off = _ref_unpack_bytes(blob, off)
+        value, off = _ref_unpack_bytes(blob, off)
+        state["backing"].append((key, value))
+    return state
+
+
+def ref_pack_meta(state, region_len):
+    out = bytearray(b"KVM1")
+    out.append(store.MODES.index(state["mode"]))
+    _ref_pack_u64(out, state["counter"])
+    _ref_pack_u64(out, state["hand"])
+    out += len(state["order"]).to_bytes(2, "big")
+    for key in state["order"]:
+        _ref_pack_bytes(out, key)
+        _ref_pack_u64(out, state["entries"][key])
+    return _ref_pad(out, region_len)
+
+
+def ref_unpack_meta(blob):
+    blob = bytes(blob)
+    if blob[:4] != b"KVM1":
+        raise WedgeError("kv-meta region is corrupt (bad magic)")
+    off = 4
+    mode = store.MODES[blob[off]]
+    off += 1
+    counter, off = _ref_unpack_u64(blob, off)
+    hand, off = _ref_unpack_u64(blob, off)
+    n = int.from_bytes(blob[off:off + 2], "big")
+    off += 2
+    order = []
+    entries = {}
+    for _ in range(n):
+        key, off = _ref_unpack_bytes(blob, off)
+        stamp, off = _ref_unpack_u64(blob, off)
+        order.append(key)
+        entries[key] = stamp
+    return {"mode": mode, "counter": counter, "hand": hand,
+            "order": order, "entries": entries}
+
+
+def _same_error(shipped, reference, *args):
+    """Both codecs refuse *args* with the same typed error."""
+    with pytest.raises(WedgeError) as got:
+        shipped(*args)
+    with pytest.raises(WedgeError) as want:
+        reference(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # -- totality and codec round-trips ------------------------------------------
@@ -43,29 +179,45 @@ def test_parse_command_is_total(data):
     assert (op is None) != (err is None)
 
 
-@given(st.lists(st.tuples(keys, values, st.integers(0, 2 ** 40)),
-                max_size=8),
+@given(st.lists(st.tuples(wire_keys, wire_values, u64s), max_size=8),
        st.lists(st.tuples(st.sampled_from([store.Q_SET, store.Q_DEL]),
-                          keys, values), max_size=8),
-       st.lists(st.tuples(keys, values), max_size=8))
+                          wire_keys, wire_values), max_size=8),
+       st.lists(st.tuples(wire_keys, wire_values), max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_store_codec_roundtrips(cache, queue, backing):
     state = {"cache": cache, "queue": queue, "backing": backing}
-    blob = store.pack_store(state, 1 << 14)
-    assert len(blob) == 1 << 14
-    assert store.unpack_store(blob) == state
+    blob = store.pack_store(state, STORE_REGION)
+    assert len(blob) == STORE_REGION
+    assert blob == ref_pack_store(state, STORE_REGION)
+    assert store.unpack_store(blob) == ref_unpack_store(blob) == state
+    assert store.unpack_store(bytearray(blob)) == state
+    # the region boundary: an exact fit packs, one byte less overflows
+    used = (10 + sum(12 + len(k) + len(v) for k, v, _ in cache)
+            + sum(5 + len(k) + len(v) for _, k, v in queue)
+            + sum(4 + len(k) + len(v) for k, v in backing))
+    assert store.pack_store(state, used) == blob[:used]
+    assert store.unpack_store(blob[:used]) == state
+    _same_error(store.pack_store, ref_pack_store, state, used - 1)
+    _same_error(store.unpack_store, ref_unpack_store, b"KVM1" + blob[4:])
 
 
 @given(st.sampled_from(store.MODES),
-       st.lists(st.tuples(keys, st.integers(0, 2 ** 40)),
-                max_size=6, unique_by=lambda kv: kv[0]),
-       st.integers(0, 2 ** 30), st.integers(0, 5))
+       st.lists(st.tuples(wire_keys, u64s),
+                max_size=16, unique_by=lambda kv: kv[0]),
+       u64s, u64s)
 @settings(max_examples=100, deadline=None)
 def test_meta_codec_roundtrips(mode, rows, counter, hand):
     state = {"mode": mode, "counter": counter, "hand": hand,
              "order": [k for k, _ in rows],
              "entries": dict(rows)}
-    assert store.unpack_meta(store.pack_meta(state, META_REGION)) == state
+    blob = store.pack_meta(state, META_REGION)
+    assert blob == ref_pack_meta(state, META_REGION)
+    assert store.unpack_meta(blob) == ref_unpack_meta(blob) == state
+    used = 23 + sum(10 + len(k) for k, _ in rows)
+    assert store.pack_meta(state, used) == blob[:used]
+    assert store.unpack_meta(blob[:used]) == state
+    _same_error(store.pack_meta, ref_pack_meta, state, used - 1)
+    _same_error(store.unpack_meta, ref_unpack_meta, b"KVS1" + blob[4:])
 
 
 # -- the eviction algebra under gate plumbing --------------------------------
