@@ -20,18 +20,16 @@ from repro.apps.httpd import content
 from repro.apps.httpd.common import HttpdBase
 from repro.attacks.exploit import maybe_trigger_exploit
 from repro.core.errors import (CompartmentDown, ProtocolError,
-                               SthreadFaulted, WedgeError)
+                               SthreadFaulted)
 from repro.core.policy import PROT_RW, SecurityContext, sc_mem_add
 from repro.tls.records import RT_APPDATA, KernelSocketTransport
 from repro.tls.server_core import ServerHandshake
 from repro.tls.session_cache import SessionCache
 
-#: Dynamic-content handler modes: ``disposable`` runs each request in a
-#: fresh sthread whose entire privilege is one per-request tag, freed on
-#: exit; ``inline`` is the monolithic contrast — the handler renders on a
-#: persistent heap scratch buffer whose residue outlives the request.
+#: The dynamic-content handler mode: each request runs in a fresh
+#: sthread whose entire privilege is one per-request tag, freed on exit.
+#: Exploit payloads read it from the hook context.
 CGI_DISPOSABLE = "disposable"
-CGI_INLINE = "inline"
 
 
 class MonolithicHttpd(HttpdBase):
@@ -40,12 +38,10 @@ class MonolithicHttpd(HttpdBase):
     Two additions ride on this variant (it is the cluster's backend):
 
     * **dynamic content** under :data:`~repro.apps.httpd.content.CGI_PREFIX`,
-      rendered — by default — in a *disposable sthread* over a
-      request-tagged scratch region.  The tag is deleted when the
-      request completes, so one handler can never read another
-      request's scratch, and a faulted handler becomes a 500 without
-      touching the server.  ``cgi_mode="inline"`` keeps the handler in
-      this fully privileged compartment instead, leaving residue.
+      rendered in a *disposable sthread* over a request-tagged scratch
+      region.  The tag is deleted when the request completes, so one
+      handler can never read another request's scratch, and a faulted
+      handler becomes a 500 without touching the server.
     * an optional **cache-aside client** (``cache_addr=``) against the
       kv tier, keyed on the request path with seeded TTL jitter;
       outages and sheds degrade to cache misses.
@@ -54,7 +50,7 @@ class MonolithicHttpd(HttpdBase):
     variant = "monolithic"
 
     def __init__(self, network, addr, *, cache_addr=None, cache_seed=0,
-                 cgi_mode=CGI_DISPOSABLE, **kwargs):
+                 **kwargs):
         super().__init__(network, addr, **kwargs)
         self.session_cache = SessionCache()
         # the private key lives in ordinary (untagged) process memory —
@@ -62,13 +58,9 @@ class MonolithicHttpd(HttpdBase):
         key_bytes = self.private_key.to_bytes()
         self.key_buf = self.kernel.alloc_buf(len(key_bytes),
                                              init=key_bytes)
-        if cgi_mode not in (CGI_DISPOSABLE, CGI_INLINE):
-            raise WedgeError(f"unknown cgi_mode {cgi_mode!r}")
-        self.cgi_mode = cgi_mode
         self._cgi_salt = zlib.crc32(
             str(kwargs.get("seed", "httpd")).encode())
         self._cgi_serial = 0
-        self._cgi_scratch = None    # inline mode's persistent buffer
         self._last_cgi = None       # previous request's scratch window
         self.cache = None
         if cache_addr is not None:
@@ -150,39 +142,10 @@ class MonolithicHttpd(HttpdBase):
         return response
 
     def _render_cgi(self, path):
-        """Render one dynamic request; ``None`` means the handler died."""
-        if self.cgi_mode == CGI_INLINE:
-            return self._render_cgi_inline(path)
-        return self._render_cgi_disposable(path)
+        """Render one dynamic request; ``None`` means the handler died.
 
-    def _render_cgi_inline(self, path):
-        """The monolithic contrast: render on a persistent heap buffer.
-
-        The scratch is allocated once and never scrubbed, so residue
-        from each request survives into the next — and into the hands
-        of any exploit in this fully privileged compartment.
+        One request, one sthread, one tag — deleted on the way out.
         """
-        kernel = self.kernel
-        if self._cgi_scratch is None:
-            self._cgi_scratch = kernel.alloc_buf(content.CGI_REGION)
-        maybe_trigger_exploit(kernel, path.encode("latin-1"), context={
-            "variant": self.variant,
-            "cgi_mode": CGI_INLINE,
-            "kernel": kernel,
-            "addr": self._cgi_scratch.addr,
-            "prev": self._last_cgi,
-            "key_buf": self.key_buf,
-        })
-        body = content.render_dynamic(path, self._cgi_salt)
-        kernel.mem_write(self._cgi_scratch.addr,
-                         len(body).to_bytes(2, "big") + body)
-        self._last_cgi = {"addr": self._cgi_scratch.addr,
-                          "len": content.CGI_REGION,
-                          "tag": "heap"}
-        return body
-
-    def _render_cgi_disposable(self, path):
-        """One request, one sthread, one tag — deleted on the way out."""
         kernel = self.kernel
         serial = self._cgi_serial
         self._cgi_serial += 1

@@ -216,9 +216,9 @@ def cgi_residue(api):
     the tag cache recycled that segment into *this* request's scratch —
     reads back freshly scrubbed zeros (paper §4.1: reuse scrubs the
     payload bytes).  Either way no residue is recoverable, and the key
-    read faults.  Inline mode: the persistent scratch still holds the
-    previous request's body and the server's RSA key sits one heap
-    read away.
+    read faults.  An inline handler (the tests' monolithic contrast):
+    the persistent scratch still holds the previous request's body and
+    the server's RSA key sits one heap read away.
 
     The blob travels inside the request path, so httpd's request-line
     and hello parsers see it first; the exploit is crafted against the
@@ -237,7 +237,8 @@ def cgi_residue(api):
             # exfiltrate whatever the window held; the attack tests
             # judge whether any cross-request bytes are actually in it
             # (disposable mode: scrubbed zeros + allocator bookkeeping,
-            # inline mode: the previous request's length-prefixed body)
+            # an inline handler: the previous request's length-prefixed
+            # body)
             api.loot.grab("scratch_window", bytes(blob))
     key_buf = api.context.get("key_buf")
     if key_buf is not None:

@@ -14,6 +14,11 @@ Copy-on-write is modelled at page granularity: a PTE carrying
 point the frame is copied privately into that page table (and the copy is
 charged to the cost account).
 
+Frames are demand-zero, as Linux backs the anonymous memory that
+``tag_new`` models (paper section 4.1): a frame holds no bytes until its
+first access faults in a zeroed page.  Nothing is charged for it — the
+model prices mappings and accesses, which are the same either way.
+
 Like a real MMU, the bus amortises the page-table walk with a simulated
 per-table TLB: resolved ``(frame, prot, segment)`` translations are
 cached so repeated accesses skip the walk.  Correctness rests on one
@@ -66,21 +71,60 @@ def page_count(size):
     return (size + PAGE_SIZE - 1) >> PAGE_SHIFT
 
 
+#: Serialises first touches: two compartments may fault in one shared
+#: tag page from different OS threads, and both must land on one page.
+_FIRST_TOUCH = threading.Lock()
+
+
 class Frame:
-    """One 4 KiB physical frame."""
+    """One 4 KiB physical frame, demand-zero like anonymous ``mmap``.
+
+    ``Frame()`` holds no page: it is an :class:`_UntouchedFrame` until
+    the first access to ``data`` faults in a zeroed page and turns it
+    into a plain ``Frame``, whose ``data`` is an ordinary slot read.
+    ``Frame(data)`` holds a copy of *data* from the start.
+    """
 
     __slots__ = ("data",)
+    touched = True
 
-    def __init__(self, data=None):
+    def __new__(cls, data=None):
         if data is None:
-            self.data = bytearray(PAGE_SIZE)
-        else:
-            if len(data) != PAGE_SIZE:
-                raise ValueError("frame data must be exactly one page")
-            self.data = bytearray(data)
+            return object.__new__(_UntouchedFrame)
+        if len(data) != PAGE_SIZE:
+            raise ValueError("frame data must be exactly one page")
+        frame = object.__new__(Frame)
+        frame.data = bytearray(data)
+        return frame
 
     def copy(self):
         return Frame(self.data)
+
+
+class _UntouchedFrame(Frame):
+    """A frame whose zero page has not been faulted in yet.
+
+    ``__getattr__`` runs only while the ``data`` slot is empty.  Under
+    the first-touch lock it fills the slot and swaps the instance's
+    class to :class:`Frame`, so every later access skips this hook; a
+    racing thread re-checks the class and returns the winner's page.
+    """
+
+    __slots__ = ()
+    touched = False
+
+    def __getattr__(self, name):
+        if name != "data":
+            raise AttributeError(name)
+        with _FIRST_TOUCH:
+            if self.__class__ is _UntouchedFrame:
+                self.data = bytearray(PAGE_SIZE)
+                self.__class__ = Frame
+        return self.data
+
+    def copy(self):
+        # a COW break or snapshot of a zero page copies no bytes
+        return Frame()
 
 
 class Segment:
@@ -144,6 +188,14 @@ class Segment:
             take = min(len(data) - pos, PAGE_SIZE - off)
             self.frames[page].data[off:off + take] = data[pos:pos + take]
             pos += take
+
+    def scrub(self):
+        """Zero every page in place (tag reuse).  An untouched page
+        already reads zero, so it stays untouched."""
+        zero_page = bytes(PAGE_SIZE)
+        for frame in self.frames:
+            if frame.touched:
+                frame.data[:] = zero_page
 
     def snapshot_frames(self):
         """Deep-copy the backing frames (used for the pre-main snapshot)."""

@@ -163,9 +163,7 @@ class TagManager:
         still be cleared for secrecy.  The saving relative to a fresh tag
         is the avoided syscall, VMA setup and bookkeeping recomputation.
         """
-        zero_page = bytes(PAGE_SIZE)
-        for off in range(0, seg.npages * PAGE_SIZE, PAGE_SIZE):
-            seg.write_raw(off, zero_page)
+        seg.scrub()
         self.costs.charge("scrub_page", seg.npages)
         patches = self._scrub_images.get(size)
         if patches is not None:

@@ -1,34 +1,23 @@
-"""HMAC-SHA256, implemented from the SHA-256 primitive.
+"""HMAC-SHA256 and a constant-time comparison, from the standard library.
 
 The record layer MACs every record (paper section 5.1.2: "data injected
 by the attacker will be rejected ... because the MAC will fail"), and the
-TLS-style PRF is built from this HMAC.
+TLS-style PRF is built from this HMAC.  ``hmac.digest`` is RFC 2104 over
+SHA-256.
 """
 
 from __future__ import annotations
 
-import hashlib
+import hmac
 
-BLOCK_SIZE = 64   # SHA-256 block size
 DIGEST_SIZE = 32
 
 
 def hmac_sha256(key, message):
     """RFC 2104 HMAC over SHA-256."""
-    if len(key) > BLOCK_SIZE:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(BLOCK_SIZE, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = hashlib.sha256(ipad + message).digest()
-    return hashlib.sha256(opad + inner).digest()
+    return hmac.digest(key, message, "sha256")
 
 
 def constant_time_eq(a, b):
-    """Length-then-accumulate comparison (no early exit on mismatch)."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+    """Constant-time comparison (no early exit on a mismatch)."""
+    return hmac.compare_digest(a, b)

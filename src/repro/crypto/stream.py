@@ -16,6 +16,7 @@ import hashlib
 import struct
 
 BLOCK = 32
+_pack_index = struct.Struct(">Q").pack
 
 
 class StreamCipher:
@@ -27,22 +28,22 @@ class StreamCipher:
         self._offset = 0
 
     def _keystream(self, offset, length):
-        out = bytearray()
-        block_index = offset // BLOCK
+        first = offset // BLOCK
+        last = (offset + length + BLOCK - 1) // BLOCK
+        prefix = self._key + self._nonce
+        sha256 = hashlib.sha256
+        stream = b"".join([sha256(prefix + _pack_index(i)).digest()
+                           for i in range(first, last)])
         skip = offset % BLOCK
-        while len(out) < skip + length:
-            block = hashlib.sha256(
-                self._key + self._nonce +
-                struct.pack(">Q", block_index)).digest()
-            out += block
-            block_index += 1
-        return bytes(out[skip:skip + length])
+        return stream[skip:skip + length]
 
     def process(self, data):
         """Encrypt or decrypt (XOR is symmetric) at the current offset."""
-        ks = self._keystream(self._offset, len(data))
-        self._offset += len(data)
-        return bytes(a ^ b for a, b in zip(data, ks))
+        size = len(data)
+        ks = self._keystream(self._offset, size)
+        self._offset += size
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(ks, "big")).to_bytes(size, "big")
 
     # encryption and decryption are the same operation; aliases keep the
     # protocol code readable

@@ -18,10 +18,10 @@ site             chokepoint
 ===============  ========================================================
 
 Each :class:`FaultSpec` fires either probabilistically (``rate``) from
-the plan's seeded RNG, or at **exact hit counts** (``at``, 1-based per
-site), which is what the deterministic unit tests use.  Firing decisions
-are made here; the *effect* (which exception, what delay) is applied by
-the chokepoint that asked.
+a seeded draw stream of its site, or at **exact hit counts** (``at``,
+1-based per site), which is what the deterministic unit tests use.
+Firing decisions are made here; the *effect* (which exception, what
+delay) is applied by the chokepoint that asked.
 
 Scoping: by default (``scope="untrusted"``) kernel-side sites inject
 only into sthread and callgate compartments — the trusted bootstrap
@@ -102,9 +102,10 @@ class FaultEvent:
 class FaultPlan:
     """A deterministic, seeded schedule of faults.
 
-    The same seed over the same sequence of kernel operations reproduces
-    the same injections (rate draws come from one seeded RNG, hit
-    counters are per-site).  Install with
+    The same seed over the same sequence of hits at each site reproduces
+    the same injections: hit counters and rate draws are both per site,
+    so a site's decisions do not depend on how concurrent compartments
+    and clients interleave their hits at other sites.  Install with
     :meth:`repro.core.kernel.Kernel.install_faults`; flip
     :attr:`enabled` to pause injection without uninstalling.
     """
@@ -121,7 +122,7 @@ class FaultPlan:
         #: kernel event bus (set by Kernel.install_faults); every
         #: injection that fires is also announced as ``fault.fired``
         self.observer = None
-        self._rng = random.Random(seed)
+        self._rngs = {}          # site -> its seeded draw stream
         self._lock = threading.Lock()
 
     def add(self, site, kind, *, rate=0.0, at=(), limit=None, delay=0.05):
@@ -157,7 +158,7 @@ class FaultPlan:
                 if spec.limit is not None and spec.fired >= spec.limit:
                     continue
                 if hit in spec.at or \
-                        (spec.rate and self._rng.random() < spec.rate):
+                        (spec.rate and self._draw(site) < spec.rate):
                     spec.fired += 1
                     name = getattr(compartment, "name", None)
                     self.injected.append(
@@ -171,6 +172,13 @@ class FaultPlan:
                          comp=getattr(compartment, "name", None),
                          site=site, kind=chosen.kind, hit=hit)
         return chosen
+
+    def _draw(self, site):
+        """The next rate draw at *site* (the caller holds the lock)."""
+        rng = self._rngs.get(site)
+        if rng is None:
+            rng = self._rngs[site] = random.Random(f"{self.seed}/{site}")
+        return rng.random()
 
     @property
     def injection_count(self):

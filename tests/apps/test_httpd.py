@@ -10,6 +10,7 @@ from repro.apps.httpd.content import build_request, response_body
 from repro.crypto import DetRNG
 from repro.net import Network
 from repro.tls import TlsClient
+from tests.apps.inline_cgi import InlineCgiHttpd
 
 VARIANTS = [
     (MonolithicHttpd, {}),
@@ -151,8 +152,7 @@ class TestDynamicContent:
     def test_bodies_are_deterministic_in_both_modes(self):
         net = Network()
         disp = MonolithicHttpd(net, "cgi-disp:443").start()
-        inl = MonolithicHttpd(net, "cgi-inl:443",
-                              cgi_mode="inline").start()
+        inl = InlineCgiHttpd(net, "cgi-inl:443").start()
         try:
             a = self._get(disp, "/cgi/report", "a")
             b = self._get(disp, "/cgi/report", "b")

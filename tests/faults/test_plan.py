@@ -55,6 +55,22 @@ class TestFiring:
         assert drive(7) == drive(7)
         assert drive(7) != drive(8)
 
+    def test_interleaving_across_sites_does_not_move_the_schedule(self):
+        """A client's sends and a server compartment's gate entries race
+        on different OS threads; each site's injections must depend on
+        that site's own hits only."""
+        def drive(order):
+            plan = FaultPlan(3)
+            plan.add("net_send", "reset", rate=0.3)
+            plan.add("cgate", "crash", rate=0.3)
+            for site in order:
+                plan.fire(site, compartment=STHREAD)
+            return sorted((ev.site, ev.hit) for ev in plan.injected)
+
+        sends_first = ["net_send"] * 100 + ["cgate"] * 100
+        alternating = ["net_send", "cgate"] * 100
+        assert drive(sends_first) == drive(alternating)
+
     def test_limit_caps_injections(self):
         plan = FaultPlan()
         plan.add("cgate", "crash", rate=1.0, limit=3)

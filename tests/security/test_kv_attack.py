@@ -19,7 +19,7 @@ import time
 from repro.analysis import format_report, lint_app
 from repro.apps.httpd import content
 from repro.apps.httpd.content import build_request
-from repro.apps.httpd.monolithic import CGI_INLINE, MonolithicHttpd
+from repro.apps.httpd.monolithic import MonolithicHttpd
 from repro.apps.kv import KvClient, KvServer, MonolithicKv
 from repro.attacks import payloads
 from repro.attacks.exploit import make_exploit_blob, start_campaign
@@ -28,6 +28,7 @@ from repro.crypto import DetRNG
 from repro.crypto.rsa import RsaPrivateKey
 from repro.net import Network
 from repro.tls import TlsClient
+from tests.apps.inline_cgi import CGI_INLINE, InlineCgiHttpd
 
 PRELOAD = {b"alpha": b"kv-secret-A1", b"beta": b"kv-secret-B2"}
 NEEDLE = PRELOAD[b"alpha"]
@@ -160,15 +161,14 @@ class TestExploitedCgiHandler:
 
     def test_inline_handler_leaks_residue_and_key(self):
         net = Network()
-        srv = MonolithicHttpd(net, "atk-cgi-inl:443",
-                              cgi_mode=CGI_INLINE).start()
+        srv = InlineCgiHttpd(net, "atk-cgi-inl:443").start()
         try:
             warm = self._request(srv, "/cgi/warm", "warm")
             assert warm is not None and b"200 OK" in warm
             loot = start_campaign()
             self._request(srv, self._blob_path(), "attacker")
             assert wait_for(lambda: "cgi_hijacked" in loot)
-            assert loot.get("cgi_hijacked") == "inline"
+            assert loot.get("cgi_hijacked") == CGI_INLINE
 
             # the persistent scratch still holds the last body...
             expected = content.render_dynamic("/cgi/warm",
