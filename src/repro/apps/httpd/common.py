@@ -20,6 +20,13 @@ from repro.net.serve import start_accept_loop
 from repro.crypto.prf import MASTER_SECRET_LEN
 from repro.crypto.rng import DetRNG
 from repro.crypto.rsa import generate_keypair
+from repro.resilience.deadline import Deadline, deadline_scope
+
+#: Wall-clock budget (seconds) of one per-connection compartment: a TLS
+#: handshake, one request, one CGI render.  It is the compartment's
+#: ambient deadline, so a client that stalls ends the phase with a typed
+#: DeadlineExceeded inside the compartment.
+PHASE_BUDGET = 20.0
 
 # -- SessionState field layout (fixed offsets in the session tag) -----------
 
@@ -246,10 +253,19 @@ class HttpdBase:
         self._handle_safely(conn_fd)
 
     def _handle_safely(self, conn_fd):
+        """The serving boundary: a failure ends this connection only."""
         try:
             self.handle_connection(conn_fd)
         except WedgeError as exc:
             self.errors.append(f"{type(exc).__name__}: {exc}")
+        except Exception as exc:
+            # the connection's compartments run on this thread, so an
+            # untyped crash in them (attacker code included) lands here;
+            # traceback is imported only now because loading it adds
+            # ~0.3 MB to every process that imports httpd
+            import traceback
+            self.errors.append(f"{type(exc).__name__}: {exc}")
+            traceback.print_exc()
         finally:
             try:
                 self.kernel.close(conn_fd)
@@ -258,6 +274,22 @@ class HttpdBase:
 
     def handle_connection(self, conn_fd):
         raise NotImplementedError
+
+    def run_compartment(self, sc, body, arg, *, name):
+        """Create a per-connection compartment and run it to completion.
+
+        The master starts such a compartment and then only waits for it
+        (Figure 3's phases run strictly in sequence), so it runs on the
+        serving thread.  Isolation does not come from the OS thread: the
+        kernel picks the page table, fd table and gate set from its
+        per-thread compartment stack.  :data:`PHASE_BUDGET` bounds the
+        run.  The caller still joins the returned handle, which charges
+        the teardown and raises ``SthreadFaulted``/``CompartmentDown``.
+        """
+        with deadline_scope(Deadline.after(PHASE_BUDGET, label=name)):
+            return self.kernel.sthread_create(
+                sc, body, arg, name=name, spawn="inline",
+                supervise=self.supervise)
 
     # -- shared helpers ----------------------------------------------------------
 

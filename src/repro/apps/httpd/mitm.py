@@ -359,15 +359,14 @@ class MitmPartitionHttpd(HttpdBase):
         # phase 1: the SSL handshake sthread
         hs_sc = self._handshake_context(conn_fd, state_buf, fin_buf,
                                         session_tag, finished_tag)
-        hs = self.kernel.sthread_create(
+        hs = self.run_compartment(
             hs_sc, self._handshake_body,
             {"fd": conn_fd, "state_addr": state_buf.addr,
              "finished_addr": fin_buf.addr},
-            name=f"ssl-handshake{n}", spawn="thread",
-            supervise=self.supervise)
+            name=f"ssl-handshake{n}")
         self.handshake_sthreads.append(hs)
         try:
-            self.kernel.sthread_join(hs, timeout=20.0)
+            self.kernel.sthread_join(hs)
         except (SthreadFaulted, CompartmentDown) as exc:
             # contained: the phase-1 compartment died, the master did not
             self.errors.append(f"handshake faulted: {exc}")
@@ -380,14 +379,13 @@ class MitmPartitionHttpd(HttpdBase):
 
         handler_sc = self._handler_context(conn_fd, state_buf, fin_buf,
                                            session_tag)
-        handler = self.kernel.sthread_create(
+        handler = self.run_compartment(
             handler_sc, self._handler_body,
             {"fd": conn_fd, "state_addr": state_buf.addr},
-            name=f"client-handler{n}", spawn="thread",
-            supervise=self.supervise)
+            name=f"client-handler{n}")
         self.handler_sthreads.append(handler)
         try:
-            self.kernel.sthread_join(handler, timeout=20.0)
+            self.kernel.sthread_join(handler)
         except (SthreadFaulted, CompartmentDown) as exc:
             self.errors.append(f"handler faulted: {exc}")
 

@@ -156,13 +156,12 @@ class MonolithicHttpd(HttpdBase):
         prev, self._last_cgi = self._last_cgi, {
             "addr": buf.addr, "len": content.CGI_REGION,
             "tag": f"httpd-cgi{serial}"}
-        handler = kernel.sthread_create(
-            sc, self._cgi_body,
-            {"path": path, "addr": buf.addr, "prev": prev},
-            name=f"cgi{serial}", spawn="thread",
-            supervise=self.supervise)
         try:
-            kernel.sthread_join(handler, timeout=20.0)
+            handler = self.run_compartment(
+                sc, self._cgi_body,
+                {"path": path, "addr": buf.addr, "prev": prev},
+                name=f"cgi{serial}")
+            kernel.sthread_join(handler)
             raw = buf.read()
             return bytes(raw[2:2 + int.from_bytes(raw[:2], "big")])
         except (SthreadFaulted, CompartmentDown) as exc:

@@ -152,13 +152,12 @@ class SimplePartitionHttpd(HttpdBase):
 
     def handle_connection(self, conn_fd):
         sc = self._worker_context(conn_fd)
-        worker = self.kernel.sthread_create(
+        worker = self.run_compartment(
             sc, self._worker_body, {"fd": conn_fd},
-            name=f"worker{self.connections_served}", spawn="thread",
-            supervise=self.supervise)
+            name=f"worker{self.connections_served}")
         self.workers.append(worker)
         try:
-            self.kernel.sthread_join(worker, timeout=20.0)
+            self.kernel.sthread_join(worker)
         except (SthreadFaulted, CompartmentDown) as exc:
             # contained: this client's connection dies with its worker;
             # the listener keeps accepting

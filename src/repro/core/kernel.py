@@ -882,7 +882,10 @@ class Kernel:
         """Create a compartment with exactly the privileges in *sc*.
 
         ``spawn="thread"`` runs *body* concurrently; ``spawn="inline"``
-        runs it to completion before returning (deterministic mode).
+        runs it to completion on the calling thread before returning.
+        Either way a :class:`CompartmentFault` or other
+        :class:`WedgeError` ends only the child; inline, any other
+        exception propagates to the caller.
         ``emulate=True`` uses the sthread emulation library: the child
         gets grant-all memory and its violations are recorded on
         ``child.table.violations`` instead of killing it (paper §3.4).

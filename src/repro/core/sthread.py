@@ -8,10 +8,12 @@ root / SELinux SID.
 
 The *thread of control* has two spawn modes (see DESIGN.md): ``"thread"``
 runs the body on a real OS thread (servers need master/worker overlap);
-``"inline"`` runs it synchronously for deterministic tests and
-microbenchmarks.  Either way the body executes with this sthread as the
-current compartment, and a :class:`~repro.core.errors.CompartmentFault`
-terminates only this compartment.
+``"inline"`` runs it to completion on the spawner's thread, for a
+compartment the spawner would only wait for (httpd's per-connection
+phases) and for deterministic tests.  Either way the body executes with
+this sthread as the current compartment, and a
+:class:`~repro.core.errors.CompartmentFault` terminates only this
+compartment.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 """Functional tests for the three Apache variants."""
 
+import threading
 import time
 
 import pytest
 
 from repro.apps.httpd import (MitmPartitionHttpd, MonolithicHttpd,
                               SimplePartitionHttpd)
+from repro.apps.httpd import common
 from repro.apps.httpd.content import build_request, response_body
+from repro.attacks.exploit import NOT_ARMED, make_exploit_blob, registry
+from repro.core.errors import DeadlineExceeded, WedgeError
+from repro.core.kernel import Kernel
 from repro.crypto import DetRNG
 from repro.net import Network
 from repro.tls import TlsClient
@@ -225,5 +230,143 @@ class TestDynamicContent:
             assert resp.startswith(b"HTTP/1.0 200")
             assert srv.cache.misses == 1      # outage counted as a miss
             assert srv._cgi_serial == 1       # rendered locally
+        finally:
+            srv.stop()
+
+
+CRASH_PAYLOAD = "plain-crash"
+
+
+@pytest.fixture
+def crash_payload():
+    """A payload that dies with a plain exception, not a WedgeError.
+
+    Armed with data ``b"cgi"`` it stays inert in the request-line
+    parser and detonates only in the CGI handler, which parses the
+    same bytes later.
+    """
+    def crash(api):
+        if api.data == b"cgi" and "cgi_mode" not in api.context:
+            return NOT_ARMED
+        raise RuntimeError(f"payload crashed in {api.context['variant']}")
+    registry.register(CRASH_PAYLOAD, crash)
+    return CRASH_PAYLOAD
+
+
+def assert_crash_contained(srv, site):
+    """The crash is on record and a new connection is served."""
+    conn = client_for(srv, "next").connect(srv.network, srv.addr)
+    assert conn.request(build_request("/")).startswith(b"HTTP/1.0 200 OK")
+    assert f"RuntimeError: payload crashed in {site}" in srv.errors
+
+
+class TestServingBoundary:
+    """Per-connection compartments run on the serving thread, so an
+    untyped crash inside one must end that connection only."""
+
+    @pytest.mark.parametrize("cls, site", [
+        (SimplePartitionHttpd, "simple"),
+        (MitmPartitionHttpd, "mitm"),
+    ])
+    def test_crash_in_the_handshake(self, cls, site, crash_payload):
+        net = Network()
+        srv = cls(net, f"crash-hello-{site}:443").start()
+        try:
+            with pytest.raises(WedgeError):
+                client_for(srv, "crasher").connect(
+                    net, srv.addr,
+                    extensions=make_exploit_blob(crash_payload))
+            assert_crash_contained(srv, site)
+        finally:
+            srv.stop()
+
+    @pytest.mark.parametrize("cls, site", [
+        (SimplePartitionHttpd, "simple-request"),
+        (MitmPartitionHttpd, "mitm-request"),
+    ])
+    def test_crash_in_the_request_handler(self, cls, site,
+                                          crash_payload):
+        net = Network()
+        srv = cls(net, f"crash-request-{site}:443").start()
+        try:
+            conn = client_for(srv, "crasher").connect(net, srv.addr)
+            conn.send(b"GET /" + make_exploit_blob(crash_payload)
+                      + b" HTTP/1.0\r\n\r\n")
+            with pytest.raises(WedgeError):
+                conn.recv()
+            assert_crash_contained(srv, site)
+        finally:
+            srv.stop()
+
+    def test_crash_in_the_cgi_handler(self, crash_payload):
+        net = Network()
+        srv = MonolithicHttpd(net, "crash-cgi:443").start()
+        try:
+            blob = make_exploit_blob(crash_payload, data=b"cgi")
+            conn = client_for(srv, "crasher").connect(net, srv.addr)
+            conn.send(build_request("/cgi/" + blob.decode("latin-1")))
+            with pytest.raises(WedgeError):
+                conn.recv()
+            assert_crash_contained(srv, "monolithic")
+        finally:
+            srv.stop()
+
+
+class TestPhaseBudget:
+    def test_stalled_client_ends_its_phase_not_the_server(
+            self, monkeypatch):
+        monkeypatch.setattr(common, "PHASE_BUDGET", 0.5)
+        net = Network()
+        srv = MitmPartitionHttpd(net, "phase-budget:443").start()
+        try:
+            client = client_for(srv)
+            client.connect(net, srv.addr).request(build_request("/"))
+            threads_before = set(threading.enumerate())
+            idle = net.connect(srv.addr)        # never sends a byte
+            try:
+                start = time.monotonic()
+                conn = client.connect(net, srv.addr)
+                resp = conn.request(build_request("/"))
+                elapsed = time.monotonic() - start
+            finally:
+                idle.close()
+            assert resp.startswith(b"HTTP/1.0 200 OK")
+            assert elapsed < 2.0
+            stalled = [st for st in srv.handshake_sthreads
+                       if st.name == "ssl-handshake2"]
+            assert len(stalled) == 1
+            assert isinstance(stalled[0].error, DeadlineExceeded)
+            # the stalled phase left no thread behind
+            assert set(threading.enumerate()) - threads_before == set()
+        finally:
+            srv.stop()
+
+
+class TestInlineCompartments:
+    @pytest.mark.parametrize("scheduler", ["threads", "reactor"])
+    def test_resumed_requests_start_no_threads(self, scheduler,
+                                               monkeypatch):
+        with Kernel.scheduler_override(scheduler):
+            srv = MitmPartitionHttpd(Network(), f"inline-{scheduler}:443")
+        srv.start()
+        try:
+            client = client_for(srv)
+            client.connect(srv.network, srv.addr).request(
+                build_request("/"))
+            started = []
+            thread_start = threading.Thread.start
+
+            def counting_start(thread):
+                started.append(thread.name)
+                thread_start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            for _ in range(10):
+                conn = client.connect(srv.network, srv.addr)
+                resp = conn.request(build_request("/"))
+                assert conn.resumed and resp.startswith(b"HTTP/1.0 200")
+            monkeypatch.undo()
+            assert started == []
+            assert len(srv.handler_sthreads) == 11
         finally:
             srv.stop()
